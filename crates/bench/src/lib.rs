@@ -248,7 +248,7 @@ pub fn standard_run(kind: ProtocolKind, seed: u64, ops_per_client: usize) -> Run
 /// excluded — they depend on timing, the one thing concurrently-scheduled
 /// drivers do not share. Equal fingerprints across drivers certify "same
 /// engine, same inputs, same per-site program" (the invariant the
-/// engine-equivalence suite and the transport-compare experiment both
+/// engine-equivalence suite and the connection-scale experiment both
 /// assert).
 #[must_use]
 pub fn site_fingerprint(history: &History, site: usize) -> Vec<(bool, u64, Option<Value>)> {

@@ -54,8 +54,8 @@ use tc_sim::{Metrics, NodeId, TraceRecorder};
 
 use crate::jitter::{splitmix64, JitterRng};
 use crate::runtime::{
-    build_shard_engine, finish_run, step_server, ChannelOutbound, ClientCore, ClientRt,
-    RuntimeConfig, RuntimeResult, Shared, TickClock, TimerWheel,
+    build_shard_engine, finish_run, step_server, ClientCore, ClientRt, RuntimeConfig,
+    RuntimeResult, Shared, TickClock, TimerWheel,
 };
 
 /// Configuration of one threaded geo run.
@@ -502,7 +502,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                         clock,
                         NodeId::new(node),
                     ),
-                    outbound: ChannelOutbound(node_txs_ref.to_vec()),
+                    senders: node_txs_ref.to_vec(),
                     shared: shared_ref,
                     timers: TimerWheel::new(),
                 };

@@ -1,13 +1,10 @@
-//! Deterministic jitter shared by every real-time driver: the SplitMix64
+//! Deterministic jitter for the real-time drivers: the SplitMix64
 //! generator and the per-link seed derivation.
 //!
-//! The blocking TCP transport and the evented reactor each redial dead
-//! links under the same jittered backoff; both must derive the *same*
-//! per-(site, shard) seed from the run seed or identical configurations
-//! would retry on different schedules across drivers. The derivation used
-//! to live in two copies ([`crate::transport`] and [`crate::reactor`]) —
-//! it lives here once now, alongside a tiny seedable stream the geo WAN
-//! courier draws its link latencies from.
+//! The reactor redials dead links under a jittered backoff whose
+//! per-(site, shard) seed is derived from the run seed, so identical
+//! configurations retry on identical schedules. The same generator backs a
+//! tiny seedable stream the geo WAN courier draws its link latencies from.
 
 /// SplitMix64 — deterministic, seedable, dependency-free; the same
 /// generator the simulator's RNG family bootstraps from.
@@ -19,9 +16,9 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 }
 
 /// The jitter seed of one client→shard link: deterministic per run —
-/// identical configurations replay identical backoff schedules in every
-/// driver — yet distinct per (site, shard) pair, so a restarted listener
-/// is not hit by a thundering herd of synchronized redials.
+/// identical configurations replay identical backoff schedules — yet
+/// distinct per (site, shard) pair, so a restarted listener is not hit by
+/// a thundering herd of synchronized redials.
 pub(crate) fn link_seed(run_seed: u64, site: usize, shard: usize) -> u64 {
     splitmix64(run_seed ^ ((site as u64) << 32) ^ shard as u64)
 }

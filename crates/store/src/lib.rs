@@ -48,13 +48,13 @@ pub mod reactor;
 mod replica;
 pub mod runtime;
 mod store;
-pub mod transport;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use geo::{run_threaded_geo, GeoRuntimeConfig};
 pub use level::ConsistencyLevel;
-pub use reactor::{run_reactor, run_reactor_with, ConnectionChurn, ReactorConfig};
+pub use reactor::{
+    run_reactor, run_reactor_with, Backoff, ConnectionChurn, ListenerChaos, ReactorConfig,
+};
 pub use replica::{StoreMetrics, StoreMetricsSnapshot};
 pub use runtime::{run_threaded, LatencySummary, RuntimeConfig, RuntimeResult, MONITOR_SLACK};
 pub use store::{Builder, StoreError, StoreHandle, TimedStore};
-pub use transport::{run_tcp, run_tcp_with, Backoff, LinkTiming, ListenerChaos, TcpRuntimeConfig};

@@ -1,12 +1,10 @@
-//! Evented reactor TCP driver: the fourth driver of the sans-io §5
-//! lifetime engines, built for connection counts the thread-per-connection
-//! transport cannot reach.
+//! Evented reactor: the socket driver of the sans-io §5 lifetime engines.
 //!
-//! [`crate::transport::run_tcp`] spends four OS threads per (site, shard)
-//! link — a client loop, a link reader, and a writer pair — which tops out
-//! around a few hundred connections on a small machine. This module runs
-//! the *unchanged* [`ClientEngine`]/[`ServerEngine`] fleet over the same
-//! `tc-wire` framing with **two** kinds of threads total:
+//! The simulator exercises the engines under deterministic virtual time,
+//! [`crate::runtime::run_threaded`] under real concurrency with in-process
+//! channels; this module runs the *unchanged*
+//! [`ClientEngine`]/[`ServerEngine`] fleet over loopback TCP with the
+//! `tc-wire` frame codec in between, on **two** kinds of threads total:
 //!
 //! * one **shard reactor** per shard: a hand-rolled epoll loop (see
 //!   [`sys`] for the scoped FFI binding — the workspace vendors no `mio`)
@@ -15,17 +13,38 @@
 //!   [`tc_wire::FrameDecoder`] (see [`conn`]);
 //! * one **client reactor** hosting *all* [`ClientCore`]s: their engine
 //!   timers live in one [`TimerWheel`] folded into the epoll timeout, and
-//!   their per-shard links follow the same Hello/HelloAck handshake,
-//!   heartbeat, and backoff-reconnect rules as the blocking transport.
+//!   each keeps one link per shard.
 //!
-//! The protocol surface is byte-identical to `run_tcp` — same handshake
-//! validation, same heartbeat/read-timeout liveness rules, same
-//! dead-letter semantics for sends on a down link, same [`ListenerChaos`]
-//! fault injection — so [`run_reactor`] returns the same
-//! [`RuntimeResult`] shape and the conformance oracle, the
+//! # Links
+//!
+//! * The first frame on every connection is a [`WireMsg::Hello`] carrying
+//!   the client's full `ProtocolConfig`; the shard compares it against its
+//!   own (plus the shard index and the client id space) and answers
+//!   [`WireMsg::HelloAck`] — or [`WireMsg::HelloReject`] and a close,
+//!   because two processes silently disagreeing on Δ would void every
+//!   timed guarantee the monitor is about to certify.
+//! * Idle connections send [`WireMsg::Heartbeat`]s every
+//!   [`ReactorConfig::heartbeat`], so a peer's read timeout only fires on
+//!   a genuinely dead link.
+//! * A link that dies (error, EOF, silence past
+//!   [`ReactorConfig::read_timeout`]) is unrouted — the engine's
+//!   `Effect::Send`s to it dead-letter, exactly like the simulator's lossy
+//!   network — and the client reactor redials under [`Backoff`]: capped
+//!   exponential delays with deterministic jitter, replaying the
+//!   handshake. Engine state never restarts, so server delivery cursors
+//!   and client epochs resume where they left off; the protocol's retry
+//!   timers re-cover anything lost in flight.
+//! * [`ListenerChaos`] kills one shard's listener (and every live
+//!   connection to it) mid-run, keeps the address unreachable for a while,
+//!   then rebinds it — the transport-level analogue of the simulator's
+//!   crash faults, driving the reconnect path under the conformance oracle.
+//!
+//! [`run_reactor`] returns the same [`RuntimeResult`] shape as the other
+//! drivers, so the conformance oracle, the
 //! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the metrics
-//! pipeline apply unchanged. `tests/engine_equivalence.rs` pins all four
-//! drivers to identical per-site operation fingerprints.
+//! pipeline apply unchanged. `tests/engine_equivalence.rs` pins the
+//! simulator, the threaded driver and the reactor to identical per-site
+//! operation fingerprints.
 //!
 //! # Liveness bookkeeping
 //!
@@ -41,10 +60,11 @@
 //!
 //! # Time
 //!
-//! `epoll_wait` has millisecond granularity, so sub-millisecond timer
-//! deadlines round *up* (never down to a busy-spin). Think-time pauses
-//! therefore quantize to ~1 ms where the blocking drivers sleep with
-//! microsecond precision; per-site operation *sequences* are unaffected
+//! Waits use `epoll_pwait2`'s nanosecond timeout where the kernel has it.
+//! The `epoll_wait` fallback has millisecond granularity, so there
+//! sub-millisecond timer deadlines round *up* (never down to a
+//! busy-spin) and think-time pauses quantize to ~1 ms where the threaded
+//! driver sleeps with microsecond precision; per-site operation *sequences* are unaffected
 //! (they are RNG-derived, not timing-derived) and the monitor's widened Δ
 //! absorbs the skew, exactly as it absorbs scheduler noise.
 
@@ -65,12 +85,11 @@ use tc_sim::metrics::names;
 use tc_sim::{Metrics, NetEvent, NodeId, TraceRecorder};
 use tc_wire::{write_frame, WireMsg};
 
-use crate::jitter::link_seed;
+use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
     adaptive_widening, finish_run, step_server, ClientCore, OutageEdge, OutageGate, RuntimeConfig,
     RuntimeResult, Shared, TickClock, TimerWheel,
 };
-use crate::transport::{ListenerChaos, TcpRuntimeConfig};
 
 use conn::{Close, Conn};
 use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -87,24 +106,88 @@ pub struct ConnectionChurn {
     pub every: Duration,
 }
 
-/// Configuration of one reactor run: the TCP transport knobs (heartbeat,
-/// read timeout, backoff, chaos) plus the reactor's own fault plan.
+/// Capped exponential backoff with deterministic jitter for client
+/// redials.
+#[derive(Clone, Copy, Debug)]
+pub struct Backoff {
+    /// First retry delay; the slot doubles each failed attempt.
+    pub base: Duration,
+    /// Upper bound on any single delay.
+    pub cap: Duration,
+    /// Consecutive failed dials of one link before the client reactor
+    /// declares the shard unreachable and panics (a harness failure, not a
+    /// protocol outcome — a real deployment would surface an error
+    /// instead).
+    pub max_attempts: u32,
+}
+
+impl Default for Backoff {
+    fn default() -> Self {
+        Backoff {
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(50),
+            max_attempts: 60,
+        }
+    }
+}
+
+impl Backoff {
+    /// The delay before retry number `attempt` (0-based): the exponential
+    /// slot `base · 2^attempt`, capped at `cap`, jittered into
+    /// `[50 %, 100 %)` of the slot by `seed`. Deterministic — runs are
+    /// reproducible — yet different per (site, shard) pair, so a
+    /// restarted listener is not hit by a thundering herd.
+    #[must_use]
+    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
+        let slot = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
+        let r = splitmix64(seed ^ u64::from(attempt));
+        let frac = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+        slot.mul_f64(frac)
+    }
+}
+
+/// Fault injection: kill one shard's listener (and every live connection
+/// to it) mid-run, hold the address down, then rebind it.
+#[derive(Clone, Copy, Debug)]
+pub struct ListenerChaos {
+    /// Which shard to kill.
+    pub shard: usize,
+    /// Run time after which the listener dies.
+    pub kill_after: Duration,
+    /// How long the shard stays unreachable before rebinding.
+    pub down_for: Duration,
+}
+
+/// Configuration of one reactor run: the common runtime knobs plus link
+/// liveness timing, the redial schedule, and the fault plans.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Runtime + transport timing and fault-injection knobs, shared with
-    /// [`crate::transport::run_tcp_with`] so the two drivers are
-    /// configured identically.
-    pub tcp: TcpRuntimeConfig,
+    /// Protocol, fleet shape, workload, tick, and monitor bounds.
+    pub runtime: RuntimeConfig,
+    /// Idle connections send a keep-alive this often.
+    pub heartbeat: Duration,
+    /// A connection with no inbound frame for this long is dead (should be
+    /// several multiples of `heartbeat`).
+    pub read_timeout: Duration,
+    /// Client redial schedule.
+    pub backoff: Backoff,
+    /// Optional listener fault injection.
+    pub chaos: Option<ListenerChaos>,
     /// Optional connection-churn injection.
     pub churn: Option<ConnectionChurn>,
 }
 
 impl ReactorConfig {
-    /// Reactor defaults: transport defaults, no churn.
+    /// Reactor defaults: 10 ms heartbeats, 250 ms dead-link timeout,
+    /// 2–50 ms backoff, no fault injection, no churn.
     #[must_use]
     pub fn new(runtime: RuntimeConfig) -> Self {
         ReactorConfig {
-            tcp: TcpRuntimeConfig::new(runtime),
+            runtime,
+            heartbeat: Duration::from_millis(10),
+            read_timeout: Duration::from_millis(250),
+            backoff: Backoff::default(),
+            chaos: None,
             churn: None,
         }
     }
@@ -237,7 +320,7 @@ enum SweepAction {
 }
 
 /// Decides timeout/heartbeat for one endpoint — shared by both reactors.
-fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &TcpRuntimeConfig) -> SweepAction {
+fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &ReactorConfig) -> SweepAction {
     if now.duration_since(ep.conn.last_read) > cfg.read_timeout {
         SweepAction::DeadPeer
     } else if now.duration_since(ep.conn.last_write) >= cfg.heartbeat {
@@ -250,7 +333,7 @@ fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &TcpRuntimeConfig) -> SweepA
 /// The epoll timeout for one loop pass: the earliest timer deadline,
 /// capped by a polling granularity that keeps heartbeats, chaos schedules,
 /// and the shutdown flag honoured.
-fn wait_timeout(next_deadline: Option<Instant>, cfg: &TcpRuntimeConfig, now: Instant) -> Duration {
+fn wait_timeout(next_deadline: Option<Instant>, cfg: &ReactorConfig, now: Instant) -> Duration {
     let granularity = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));
     match next_deadline {
         Some(deadline) => granularity.min(deadline.saturating_duration_since(now)),
@@ -288,7 +371,7 @@ enum ShardTimer {
 struct ShardReactor<'a> {
     shard: usize,
     shards: usize,
-    cfg: &'a TcpRuntimeConfig,
+    cfg: &'a ReactorConfig,
     engine: ServerEngine,
     clock: TickClock,
     me: NodeId,
@@ -313,7 +396,7 @@ impl<'a> ShardReactor<'a> {
     fn new(
         shard: usize,
         shards: usize,
-        cfg: &'a TcpRuntimeConfig,
+        cfg: &'a ReactorConfig,
         clock: TickClock,
         listener: TcpListener,
         addr: SocketAddr,
@@ -472,8 +555,8 @@ impl<'a> ShardReactor<'a> {
             }
             verdict
         };
-        // Frames decoded before an EOF/error still count (the blocking
-        // driver reads them the same way before noticing the close).
+        // Frames decoded before an EOF/error still count: they arrived
+        // before the close.
         self.dispatch_frames(token, frames);
         if verdict.is_some() {
             self.close(token);
@@ -524,9 +607,10 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// The handshake: validation identical to the blocking transport's
-    /// accept loop, so the two drivers reject the same misconfigurations
-    /// with the same reasons.
+    /// The handshake: a Hello must match this shard's protocol config, its
+    /// shard index, and the run's client id space; anything else is
+    /// answered with a [`WireMsg::HelloReject`] naming the mismatch, then
+    /// closed.
     fn handle_hello(
         &mut self,
         token: u64,
@@ -730,8 +814,7 @@ struct ClientState {
     /// Completed handshakes per shard (first = connect, rest = reconnect).
     connects: Vec<u64>,
     /// Whether `Event::Start` has been fed (gated on every link being up,
-    /// like the blocking transport's link-wait, so the opening op isn't
-    /// taxed a retry round-trip).
+    /// so the opening op isn't taxed a retry round-trip).
     started: bool,
     /// Workload complete with nothing in flight; excluded from `remaining`.
     finished: bool,
@@ -767,7 +850,7 @@ struct ControllerState {
 }
 
 struct ClientReactor<'a> {
-    cfg: &'a TcpRuntimeConfig,
+    cfg: &'a ReactorConfig,
     shards: usize,
     addrs: &'a [SocketAddr],
     clock: TickClock,
@@ -787,7 +870,7 @@ struct ClientReactor<'a> {
 
 impl<'a> ClientReactor<'a> {
     fn new(
-        cfg: &'a TcpRuntimeConfig,
+        cfg: &'a ReactorConfig,
         shards: usize,
         addrs: &'a [SocketAddr],
         clock: TickClock,
@@ -928,8 +1011,7 @@ impl<'a> ClientReactor<'a> {
     }
 
     /// Deregisters a connection and downgrades its link to `Down`,
-    /// arming an immediate redial (the blocking transport's link thread
-    /// also retries at once; backoff starts on *failed* dials). A
+    /// arming an immediate redial (backoff starts on *failed* dials). A
     /// superseded connection — one the link no longer names — just dies.
     fn close_link(&mut self, token: u64) {
         let Some(entry) = self.conns.remove(token) else {
@@ -1064,8 +1146,8 @@ impl<'a> ClientReactor<'a> {
         }
     }
 
-    /// Books a failed dial and schedules the next under backoff — the
-    /// same deterministic jittered schedule as the blocking transport.
+    /// Books a failed dial and schedules the next under the deterministic
+    /// jittered [`Backoff`].
     fn retry(&mut self, client: usize, shard: usize, attempt: u32) {
         self.shared.add_metric(names::TCP_CONNECT_FAILED, 1);
         assert!(
@@ -1253,8 +1335,7 @@ impl<'a> ClientReactor<'a> {
         }
         // Orderly goodbye: a Bye on every live link, flushed as far as the
         // socket allows, then close. A blocked socket just loses its
-        // goodbye — the shard's read timeout reaps it, exactly like the
-        // blocking driver's half-close path.
+        // goodbye — the shard's read timeout reaps it.
         for token in self.conns.tokens() {
             self.queue_and_flush(token, &WireMsg::Bye);
             self.close_link(token);
@@ -1303,9 +1384,9 @@ fn churn_loop(
 }
 
 /// Runs one execution of the lifetime protocol over the evented reactor
-/// with transport defaults, returning the same [`RuntimeResult`] shape as
-/// the other three drivers — identical seeds produce identical per-site
-/// operation sequences across all of them.
+/// with [`ReactorConfig::new`] defaults, returning the same
+/// [`RuntimeResult`] shape as the other drivers — identical seeds produce
+/// identical per-site operation sequences across all of them.
 ///
 /// # Panics
 ///
@@ -1317,7 +1398,7 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
     run_reactor_with(&ReactorConfig::new(config.clone()))
 }
 
-/// [`run_reactor`] with explicit transport timing, fault-injection, and
+/// [`run_reactor`] with explicit link timing, fault-injection, and
 /// connection-churn knobs.
 ///
 /// # Panics
@@ -1326,10 +1407,9 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
 /// outside the fleet or a listener cannot be bound.
 #[must_use]
 pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
-    let cfg = &config.tcp;
-    let rc = &cfg.runtime;
+    let rc = &config.runtime;
     let shards = rc.protocol.shards;
-    if let Some(c) = cfg.chaos {
+    if let Some(c) = config.chaos {
         assert!(c.shard < shards, "chaos shard {} out of range", c.shard);
     }
     let clock = TickClock::new(rc.tick);
@@ -1369,9 +1449,9 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
         for (shard, slot) in listeners.iter_mut().enumerate() {
             let listener = slot.take().expect("listener taken once");
             let addr = addrs_ref[shard];
-            let chaos = cfg.chaos.filter(|c| c.shard == shard);
+            let chaos = config.chaos.filter(|c| c.shard == shard);
             shard_workers.push(scope.spawn(move |_| {
-                ShardReactor::new(shard, shards, cfg, clock, listener, addr, shared_ref).run(
+                ShardReactor::new(shard, shards, config, clock, listener, addr, shared_ref).run(
                     chaos,
                     started,
                     shutdown_ref,
@@ -1384,7 +1464,7 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
         // The client reactor runs on the scope's own thread: every
         // ClientCore in one evented loop.
         let (latencies, delta_schedule) =
-            ClientReactor::new(cfg, shards, addrs_ref, clock, shared_ref).run();
+            ClientReactor::new(config, shards, addrs_ref, clock, shared_ref).run();
         shutdown.store(true, Ordering::Relaxed);
         let shard_requests: Vec<u64> = shard_workers
             .into_iter()
@@ -1528,6 +1608,138 @@ mod tests {
         assert!(net.iter().any(|e| matches!(e, NetEvent::Send { .. })));
         assert!(net.iter().any(|e| matches!(e, NetEvent::Recv { .. })));
         assert!(net.iter().any(|e| matches!(e, NetEvent::Timer { .. })));
+    }
+
+    #[test]
+    fn backoff_is_deterministic_capped_and_jittered() {
+        let b = Backoff::default();
+        for attempt in 0..24 {
+            let d1 = b.delay(attempt, 0xFEED);
+            let d2 = b.delay(attempt, 0xFEED);
+            assert_eq!(d1, d2, "same seed must give the same delay");
+            assert!(d1 <= b.cap, "attempt {attempt} exceeds the cap: {d1:?}");
+            let slot = b.base.saturating_mul(1 << attempt.min(16)).min(b.cap);
+            assert!(d1 >= slot.mul_f64(0.5), "jitter must stay in [50%, 100%)");
+        }
+        // Different seeds de-synchronise (thundering-herd protection).
+        assert_ne!(b.delay(3, 1), b.delay(3, 2));
+    }
+
+    #[test]
+    fn shard_rejects_mismatched_handshakes_and_closes() {
+        // A live shard reactor (shard 1 of 2, two clients) probed over raw
+        // sockets: every bad Hello must be answered with a HelloReject
+        // naming the mismatch and then a close; a good one with an ack.
+        use std::io::ErrorKind;
+        use tc_wire::read_frame;
+
+        let mut rc = small(
+            ProtocolKind::Tsc {
+                delta: Delta::from_ticks(400),
+            },
+            34,
+        );
+        rc.protocol = rc.protocol.with_shards(2);
+        let protocol = rc.protocol;
+        let cfg = ReactorConfig::new(rc);
+        let shared = Shared {
+            recorder: Mutex::new(TraceRecorder::new()),
+            metrics: Mutex::new(Metrics::new()),
+        };
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+        let hello = |site, n_clients, shard, protocol| WireMsg::Hello {
+            site,
+            n_clients,
+            shard,
+            protocol,
+        };
+        let other = ProtocolConfig::of(ProtocolKind::Tsc {
+            delta: Delta::from_ticks(999),
+        })
+        .with_shards(2);
+        let bad = [
+            (hello(0, 2, 1, other), "protocol config mismatch"),
+            (hello(0, 2, 0, protocol), "dialled shard 0, reached 1"),
+            (hello(0, 3, 1, protocol), "bad id space"),
+            (hello(2, 2, 1, protocol), "bad id space"),
+        ];
+        std::thread::scope(|scope| {
+            let reactor = ShardReactor::new(
+                1,
+                2,
+                &cfg,
+                TickClock::new(cfg.runtime.tick),
+                listener,
+                addr,
+                &shared,
+            );
+            let (shutdown, started) = (&shutdown, Instant::now());
+            let worker = scope.spawn(move || reactor.run(None, started, shutdown));
+            let dial = |msg: &WireMsg| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                write_frame(&mut stream, 1, msg).unwrap();
+                let (_, reply) = read_frame(&mut stream).expect("the shard must answer");
+                (stream, reply)
+            };
+            for (msg, why) in &bad {
+                let (mut stream, reply) = dial(msg);
+                match reply {
+                    WireMsg::HelloReject { reason } => {
+                        assert!(reason.contains(why), "{reason:?} must name {why:?}");
+                    }
+                    other => panic!("{msg:?} must be rejected, got {other:?}"),
+                }
+                let closed = read_frame(&mut stream).expect_err("a rejected link must close");
+                assert!(
+                    matches!(
+                        closed.kind(),
+                        ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                    ),
+                    "expected a close after the reject, got {closed:?}"
+                );
+            }
+            // The control: the same shard acks a matching Hello.
+            let (_stream, reply) = dial(&hello(1, 2, 1, protocol));
+            assert!(matches!(reply, WireMsg::HelloAck { shard: 1 }), "{reply:?}");
+            shutdown.store(true, Ordering::Relaxed);
+            worker.join().unwrap();
+        });
+        let metrics = shared.metrics.lock().unwrap();
+        assert_eq!(metrics.get(names::REACTOR_CONN_OPENED), 5);
+        assert_eq!(metrics.get(names::REACTOR_CONN_CLOSED), 5);
+    }
+
+    #[test]
+    fn silent_links_time_out_and_redial() {
+        // A read timeout (3 ms) far below the heartbeat cadence (30 ms):
+        // any idle stretch on a link outlasts it, so the liveness sweep
+        // closes the link as a dead peer and the client redials. The
+        // think-time workload guarantees such stretches; the engines'
+        // retry timers must carry every op across the flapping.
+        let mut rc = small(ProtocolKind::Sc, 33);
+        rc.ops_per_client = 20;
+        rc.workload = Workload::new(4, 0.8, 0.7, (Delta::from_ticks(20), Delta::from_ticks(60)));
+        let mut cfg = ReactorConfig::new(rc);
+        cfg.heartbeat = Duration::from_millis(30);
+        cfg.read_timeout = Duration::from_millis(3);
+        let r = run_reactor_with(&cfg);
+        assert_eq!(r.ops_done, 2 * 20, "flapping must not lose operations");
+        assert!(r.on_time.holds(), "monitor must report zero violations");
+        assert!(
+            r.counter(names::TCP_RECONNECT) > 0,
+            "silent links must time out and redial at least once"
+        );
+        assert_eq!(
+            r.counter(names::REACTOR_CONN_OPENED),
+            r.counter(names::REACTOR_CONN_CLOSED),
+            "timed-out registrations must drain to zero"
+        );
     }
 
     #[test]

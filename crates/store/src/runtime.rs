@@ -140,8 +140,8 @@ impl RuntimeConfig {
 /// in-memory store by default, or a [`WalStore`] under
 /// `<wal_dir>/shard-<i>` when a WAL directory is set. Opening a dirty
 /// directory recovers the previous incarnation's durable state — this is
-/// the single point where every real-time driver (threaded, TCP,
-/// reactor) decides what a shard remembers.
+/// the single point where every real-time driver (threaded, reactor, geo)
+/// decides what a shard remembers.
 pub(crate) fn build_shard_engine(
     protocol: ProtocolConfig,
     wal_dir: Option<&Path>,
@@ -317,7 +317,7 @@ impl RuntimeResult {
 }
 
 /// A deadline-ordered timer wheel over real [`Instant`]s, shared by the
-/// in-process threaded driver, the TCP transport, and the evented reactor.
+/// in-process threaded driver and the evented reactor.
 ///
 /// Timers pop in deadline order; equal deadlines pop in arming order (a
 /// monotone sequence number breaks ties), so a driver that arms `A` then
@@ -467,37 +467,12 @@ impl Shared {
     }
 }
 
-/// Where a client's outbound protocol messages go — the only seam between
-/// the shared client loop ([`ClientRt`]) and a concrete transport:
-/// in-process channels here, framed TCP links in
-/// [`crate::transport`].
-pub(crate) trait Outbound {
-    /// Delivers `msg` from client node `me` to shard node `to`. Delivery
-    /// may silently fail (a hung-up channel, a link mid-reconnect): the
-    /// engines' retry timers own recovery, so a lost send is never an
-    /// error here.
-    fn send(&mut self, me: NodeId, to: NodeId, msg: Msg);
-}
-
-/// The in-process transport: one unbounded channel per shard, indexed by
-/// the shard's node id.
-pub(crate) struct ChannelOutbound(pub(crate) Vec<Sender<(NodeId, Msg)>>);
-
-impl Outbound for ChannelOutbound {
-    fn send(&mut self, me: NodeId, to: NodeId, msg: Msg) {
-        // Client engines only ever address server shards; a send can't
-        // fail while this client still holds its senders.
-        let _ = self.0[to.index()].send((me, msg));
-    }
-}
-
 /// The driver-independent heart of one client: the engine, its private
 /// input sources, the shared tick clock, and per-operation latency
 /// bookkeeping. Every real-time driver — the in-process threaded runtime,
-/// the thread-per-connection TCP transport, and the evented reactor —
-/// steps clients through this one type, so "what a client does per event"
-/// (clock injection order, op-issue latency stamps, completion counting)
-/// is defined exactly once.
+/// its geo variant, and the evented reactor — steps clients through this
+/// one type, so "what a client does per event" (clock injection order,
+/// op-issue latency stamps, completion counting) is defined exactly once.
 pub(crate) struct ClientCore {
     pub(crate) engine: ClientEngine,
     pub(crate) sources: PrivateSources,
@@ -568,25 +543,31 @@ impl ClientCore {
     }
 }
 
-/// One client thread: a [`ClientCore`] + a local timer wheel over real
-/// deadlines. Generic over the [`Outbound`] transport so the in-process
-/// and TCP drivers share one event loop (and therefore one op-sequence /
-/// latency-measurement behaviour). The reactor hosts [`ClientCore`]s
-/// directly — many per thread — and executes effects its own way.
-pub(crate) struct ClientRt<'a, O: Outbound> {
+/// One client thread of the channel drivers ([`run_threaded`] and its geo
+/// variant): a [`ClientCore`] + a local timer wheel over real deadlines,
+/// sending through one unbounded channel per node. The reactor hosts
+/// [`ClientCore`]s directly — many per thread — and executes effects its
+/// own way.
+pub(crate) struct ClientRt<'a> {
     pub(crate) core: ClientCore,
-    pub(crate) outbound: O,
+    /// Inboxes indexed by node id; the engine only ever addresses nodes
+    /// that have one.
+    pub(crate) senders: Vec<Sender<(NodeId, Msg)>>,
     pub(crate) shared: &'a Shared,
     pub(crate) timers: TimerWheel,
 }
 
-impl<O: Outbound> ClientRt<'_, O> {
+impl ClientRt<'_> {
     fn feed(&mut self, event: Event) {
         let mut out = Vec::new();
         self.core.step(event, &mut out);
         for effect in out {
             match effect {
-                Effect::Send { to, msg } => self.outbound.send(self.core.me, to, msg),
+                // A hung-up inbox drops the message: the engines' retry
+                // timers own recovery, so a lost send is never an error.
+                Effect::Send { to, msg } => {
+                    let _ = self.senders[to.index()].send((self.core.me, msg));
+                }
                 Effect::SetTimer { after, token } => {
                     // An infinite delta means "never" — arm nothing.
                     if let Some(d) = self.core.clock.delta_to_duration(after) {
@@ -648,9 +629,9 @@ impl<O: Outbound> ClientRt<'_, O> {
 }
 
 /// Feeds one event to a server engine, preceded by a fresh clock sample —
-/// the server-side stepping contract shared by the per-thread drivers
-/// ([`server_thread`]) and the shard reactor, which owns its engine inside
-/// the event loop instead of behind an inbox.
+/// the server-side stepping contract shared by the channel drivers
+/// ([`server_thread`], the geo shard loop) and the shard reactor, which
+/// owns its engine inside the event loop instead of behind an inbox.
 pub(crate) fn step_server(
     engine: &mut ServerEngine,
     clock: &TickClock,
@@ -674,11 +655,10 @@ pub(crate) fn step_server(
 /// deadline-batched push-invalidation flushes. Returns the number of
 /// client requests the shard served (the fleet's load statistic).
 ///
-/// `send` is the transport seam (mirroring [`Outbound`] on the client
-/// side): in-process channels or a TCP connection registry. Exits when the
-/// inbox disconnects — every transport arranges for its senders to drop
-/// once the run is over.
-pub(crate) fn server_thread(
+/// `send` routes the engine's outbound messages to the client inboxes.
+/// Exits when the inbox disconnects, which happens once every client has
+/// finished and dropped its senders.
+fn server_thread(
     mut engine: ServerEngine,
     clock: TickClock,
     me: NodeId,
@@ -795,7 +775,8 @@ pub(crate) fn server_thread(
     engine.requests_served()
 }
 
-/// The adaptive control loop shared by the real-time drivers: every
+/// The adaptive control loop of the threaded driver (the reactor runs the
+/// same steps in-loop, see `ClientReactor::controller_tick`): every
 /// controller interval it samples the live monitor (running `min_delta`,
 /// violation count, ops ingested) and the retry counter, ticks the
 /// [`DeltaController`], applies each command's widened threshold to the
@@ -804,7 +785,7 @@ pub(crate) fn server_thread(
 /// so a client that missed one hears the next. Exits once every expected
 /// operation has been ingested or `done` is raised (whichever first), and
 /// returns the commanded schedule.
-pub(crate) fn control_loop(
+fn control_loop(
     mut controller: DeltaController,
     clock: TickClock,
     shared: &Shared,
@@ -966,7 +947,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
                     clock,
                     NodeId::new(shards + site),
                 ),
-                outbound: ChannelOutbound(server_txs.clone()),
+                senders: server_txs.clone(),
                 shared: shared_ref,
                 timers: TimerWheel::new(),
             };
@@ -1026,8 +1007,8 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
 }
 
 /// Assembles a [`RuntimeResult`] out of a finished run's shared state —
-/// the common tail of [`run_threaded`] and the TCP driver
-/// ([`crate::transport::run_tcp`]), so both report through identical
+/// the common tail of every real-time driver ([`run_threaded`], the
+/// reactor, the geo driver), so all report through identical
 /// monitor/metrics plumbing.
 pub(crate) fn finish_run(
     shared: Shared,

@@ -1,7 +1,6 @@
 //! Engine equivalence: the sans-io §5 state machines must behave the same
-//! under all four drivers — the deterministic simulator, the threaded
-//! in-process runtime, the framed loopback-TCP transport, and the evented
-//! epoll reactor.
+//! under all three drivers — the deterministic simulator, the threaded
+//! in-process runtime, and the evented epoll reactor over loopback TCP.
 //!
 //! Every driver instantiates the *same* `ClientEngine`/`ServerEngine`
 //! types and draws each client's operation stream from the same private
@@ -18,9 +17,9 @@
 //!    violations at the configured Δ;
 //! 2. per-site (kind, object) sequences and written values are identical
 //!    across drivers — the jitter-free fingerprint of "same engine, same
-//!    inputs" (for TCP and the reactor this additionally certifies that
-//!    the `tc-wire` frame codec, handshakes, heartbeats, and — reactor
-//!    only — the incremental decode path are invisible to the protocol);
+//!    inputs" (for the reactor this additionally certifies that the
+//!    `tc-wire` frame codec, handshakes, heartbeats, and the incremental
+//!    decode path are invisible to the protocol);
 //! 3. the real-runtime histories independently satisfy the level's checker
 //!    (SC search for the physical family, CCv for the causal family).
 
@@ -34,7 +33,7 @@ use timed_consistency::lifetime::{
 };
 use timed_consistency::sim::workload::Workload;
 use timed_consistency::sim::WorldConfig;
-use timed_consistency::store::{run_reactor, run_tcp, run_threaded, RuntimeConfig};
+use timed_consistency::store::{run_reactor, run_threaded, RuntimeConfig};
 
 const SEED: u64 = 42;
 const N_CLIENTS: usize = 3;
@@ -65,7 +64,6 @@ fn check_equivalence_of(protocol: ProtocolConfig) {
     // real-time slack.
     threaded_cfg.tick = Duration::from_micros(20);
     let threaded = run_threaded(&threaded_cfg);
-    let tcp = run_tcp(&threaded_cfg);
     let reactor = run_reactor(&threaded_cfg);
 
     // 1. Every driver completes the workload, monitor-clean.
@@ -75,11 +73,7 @@ fn check_equivalence_of(protocol: ProtocolConfig) {
         "{kind:?}: sim monitor violations: {}",
         sim.on_time.violations().len()
     );
-    for (driver, run) in [
-        ("threaded", &threaded),
-        ("tcp", &tcp),
-        ("reactor", &reactor),
-    ] {
+    for (driver, run) in [("threaded", &threaded), ("reactor", &reactor)] {
         assert_eq!(run.ops_done, N_CLIENTS * OPS, "{kind:?}: {driver} ops");
         assert!(
             run.on_time.holds(),
@@ -104,15 +98,14 @@ fn check_equivalence_of(protocol: ProtocolConfig) {
         }
     }
 
-    // 2. Identical per-site programs modulo read values, across all four
-    // drivers — for TCP this is what certifies the wire codec invisible,
-    // and for the reactor additionally the incremental frame decoder and
-    // the evented effect execution.
+    // 2. Identical per-site programs modulo read values, across all three
+    // drivers — for the reactor this is what certifies the wire codec, the
+    // incremental frame decoder, and the evented effect execution
+    // invisible.
     for site in 0..N_CLIENTS {
         let reference = site_fingerprint(&sim.history, site);
         for (driver, history) in [
             ("threaded", &threaded.history),
-            ("tcp", &tcp.history),
             ("reactor", &reactor.history),
         ] {
             assert_eq!(
@@ -127,7 +120,6 @@ fn check_equivalence_of(protocol: ProtocolConfig) {
     // checker.
     for (driver, history) in [
         ("threaded", &threaded.history),
-        ("tcp", &tcp.history),
         ("reactor", &reactor.history),
     ] {
         if kind.is_causal_family() {
