@@ -1,6 +1,7 @@
 //! Checker scaling study: the naive O(R·W) batch checker vs the
 //! sweep-line batch checker vs the streaming [`OnTimeMonitor`], over
-//! replica-generated histories from 10² to 10⁷ operations.
+//! replica-generated histories from 10² to 10⁷ operations, plus the
+//! causal-convergence checker [`satisfies_ccv`] on the same histories.
 //!
 //! Each path computes the full timed verdict (`check_on_time` **and**
 //! `min_delta`; the monitor produces both in one ingestion pass), and the
@@ -9,14 +10,18 @@
 //! capped at 10⁴ ops (beyond that it is minutes of pure rescanning; the
 //! cap is reported in the table as `-`). A fourth `rebuild` path times
 //! history *construction* (builder + index derivation) from pre-extracted
-//! operation tuples, isolating the layout cost from the generator.
+//! operation tuples, isolating the layout cost from the generator. A
+//! fifth `ccv` path times [`satisfies_ccv`] (vector-clock causal order
+//! plus conflict frontier), asserting the replica histories are causally
+//! convergent; it is capped at 10⁶ ops, where its clocks alone take
+//! 4·n·S = 16 MB.
 //!
 //! Besides wall time, every row records **allocations per operation** and
 //! **bytes per operation** via the counting global allocator
 //! (`tc_bench::alloc`, `count-allocs` feature), so allocation regressions
 //! in the history layout or checker internals fail as loudly as time
 //! regressions: `--max-allocs-per-op N` makes the binary exit non-zero
-//! when the `sweep_line` or `rebuild` path exceeds the ceiling.
+//! when the `sweep_line`, `rebuild` or `ccv` path exceeds the ceiling.
 //!
 //! Outputs a table (for `results/checker_scale.txt`) and machine-readable
 //! `BENCH_checker.json` recording ops/sec and allocs/op per path and size.
@@ -30,13 +35,16 @@ use std::time::Instant;
 use tc_bench::{alloc, arg_value, f3, flag, json_flag, Table};
 use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{
-    check_on_time, check_on_time_naive, min_delta_eps, min_delta_eps_naive, OnTimeMonitor,
+    check_on_time, check_on_time_naive, min_delta_eps, min_delta_eps_naive, satisfies_ccv,
+    OnTimeMonitor, Outcome,
 };
 use tc_core::generator::{replica_history, ReplicaHistoryConfig};
 use tc_core::{History, HistoryBuilder, Operation};
 
 /// Largest size the naive path is run at.
 const NAIVE_CAP: usize = 10_000;
+/// Largest size the `ccv` path is run at.
+const CCV_CAP: usize = 1_000_000;
 /// Δ used for the timed check: half the worst-case propagation delay, so
 /// violations actually occur and the violation paths are exercised.
 const DELTA: Delta = Delta::from_ticks(30);
@@ -121,8 +129,9 @@ fn main() {
     let mut t = Table::new(
         format!(
             "Checker scaling: batch-naive vs sweep-line vs streaming monitor \
-             vs history rebuild (replica histories, 4 sites, 8 objects, \
-             Δ={}, ε={}; naive capped at {NAIVE_CAP} ops; allocs counted {})",
+             vs history rebuild vs CCv (replica histories, 4 sites, 8 objects, \
+             Δ={}, ε={}; naive capped at {NAIVE_CAP} ops, ccv at {CCV_CAP}; \
+             allocs counted {})",
             DELTA.ticks(),
             EPS.ticks(),
             if alloc::enabled() { "on" } else { "OFF" },
@@ -165,6 +174,14 @@ fn main() {
                 min_delta_eps_naive(&h, EPS),
                 sweep_min,
                 "sweep min diverged"
+            );
+        }
+        let run_ccv = ops <= CCV_CAP;
+        if run_ccv {
+            assert_eq!(
+                satisfies_ccv(&h),
+                Outcome::Satisfied,
+                "replica histories are causally convergent"
             );
         }
         let violations = sweep.violations().len();
@@ -232,6 +249,11 @@ fn main() {
             Some(time_per_eval(reps, || rebuild(&tuples))),
             Some(alloc::measure(|| rebuild(&tuples)).1),
         ));
+        paths.push((
+            "ccv",
+            run_ccv.then(|| time_per_eval(reps, || satisfies_ccv(&h))),
+            run_ccv.then(|| alloc::measure(|| satisfies_ccv(&h)).1),
+        ));
 
         for (path, secs, counts) in paths {
             let (allocs_per_op, bytes_per_op) = match counts {
@@ -240,7 +262,7 @@ fn main() {
             };
             if let (Some(ceiling), Some(_)) = (alloc_ceiling, counts) {
                 if alloc::enabled()
-                    && (path == "sweep_line" || path == "rebuild")
+                    && matches!(path, "sweep_line" | "rebuild" | "ccv")
                     && allocs_per_op > ceiling
                 {
                     ceiling_breaches.push(format!(
@@ -271,11 +293,12 @@ fn main() {
                     }));
                 }
                 None => {
+                    let cap = if path == "ccv" { CCV_CAP } else { NAIVE_CAP };
                     t.row(&[&ops, &path, &"-", &"-", &violations, &"-", &"-"]);
                     results.push(serde_json::json!({
                         "ops": ops,
                         "path": path,
-                        "skipped": (format!("naive path capped at {NAIVE_CAP} ops")),
+                        "skipped": (format!("{path} path capped at {cap} ops")),
                     }));
                 }
             }
@@ -284,8 +307,8 @@ fn main() {
 
     t.emit(json);
     println!(
-        "expected shape: sweep_line and monitor ops/sec stay near-flat as \
-         size grows; batch_naive ops/sec collapses linearly (O(R*W) total)"
+        "expected shape: sweep_line, monitor and ccv ops/sec stay near-flat \
+         as size grows; batch_naive ops/sec collapses linearly (O(R*W) total)"
     );
 
     let counting = alloc::enabled();
@@ -294,6 +317,7 @@ fn main() {
         "delta": (DELTA.ticks()),
         "eps": (EPS.ticks()),
         "naive_cap": NAIVE_CAP,
+        "ccv_cap": CCV_CAP,
         "smoke": smoke,
         "alloc_counting": counting,
         "results": results,

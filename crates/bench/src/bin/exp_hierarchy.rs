@@ -1,6 +1,8 @@
 //! Figure 4a, empirically: classify random histories against every
 //! criterion and verify the containment lattice
-//! `LIN ⊆ TSC ⊆ SC ⊆ CC`, `TSC ⊆ TCC ⊆ CC`, `TCC ∩ SC = TSC` on each.
+//! `LIN ⊆ TSC ⊆ SC ⊆ CC`, `TSC ⊆ TCC ⊆ CC`, `TCC ∩ SC = TSC`,
+//! `SC ⊆ CCv` on each. CCv (causal convergence) is reported next to CC
+//! (causal memory); the two are incomparable in general.
 //!
 //! Two populations are sampled: unconstrained random histories (which land
 //! anywhere in the lattice) and replica-generated histories (CC by
@@ -25,6 +27,7 @@ struct Counts {
     sc: usize,
     tcc: usize,
     cc: usize,
+    ccv: usize,
     timed: usize,
     inconclusive: usize,
     violations: usize,
@@ -54,6 +57,7 @@ fn tally(counts: &mut Counts, histories: impl Iterator<Item = History>, delta: D
         counts.sc += usize::from(c.sc.holds());
         counts.tcc += usize::from(c.tcc.holds());
         counts.cc += usize::from(c.cc.holds());
+        counts.ccv += usize::from(c.ccv.holds());
         counts.timed += usize::from(c.timed.holds());
     }
 }
@@ -68,6 +72,7 @@ fn emit(name: &str, c: &Counts, t: &mut Table) {
         &share(c.sc),
         &share(c.tcc),
         &share(c.cc),
+        &share(c.ccv),
         &share(c.timed),
         &c.inconclusive,
         &c.violations,
@@ -95,6 +100,7 @@ fn main() {
             "SC",
             "TCC",
             "CC",
+            "CCv",
             "timed",
             "inconclusive",
             "hierarchy violations",

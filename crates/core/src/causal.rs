@@ -6,24 +6,38 @@
 //! 2. `b` reads an object value written by `a`, or
 //! 3. transitivity.
 //!
-//! The relation is computed once per history as a dense reachability matrix
-//! (bitset rows), so checkers query `precedes` in O(1).
+//! The relation is computed once per history as one vector clock per
+//! operation: `seen[op][t]` counts the site-`t` operations in `op`'s
+//! inclusive causal past. A causal past is closed under program order, so
+//! it holds exactly the first `seen[op][t]` operations of each site `t`,
+//! and `a → b` iff `a ≠ b` and `a`'s position in its site's program order
+//! is below `seen[b][site(a)]` — an O(1) query. The clocks are filled in
+//! one topological (Kahn) pass over the generating edges, program order
+//! plus reads-from, in O(n·S) time and 4·n·S bytes for `n` operations at
+//! `S` sites.
 
-use crate::{History, OpId};
+use crate::{History, OpId, SiteId};
 
-/// The strict causal order `→` of a history, materialized as a reachability
-/// matrix.
+/// The strict causal order `→` of a history, as one vector clock per
+/// operation.
 ///
 /// Real executions always induce an acyclic relation, but a hand-built
 /// [`History`] can encode reads-from edges that travel backwards in time
 /// and close a cycle; [`CausalOrder::is_cyclic`] exposes this so checkers
-/// can reject such histories outright.
+/// can reject such histories outright. On a cyclic history the operations
+/// on or after a cycle get no clock, so [`CausalOrder::precedes`] and
+/// [`CausalOrder::concurrent`] are meaningful only when `is_cyclic()` is
+/// false.
 #[derive(Clone, Debug)]
 pub struct CausalOrder {
-    n: usize,
-    words: usize,
-    /// Row `a`: bitset of operations strictly causally after `a`.
-    reach: Vec<u64>,
+    n_sites: usize,
+    /// Executing site of each op.
+    site: Vec<u32>,
+    /// Position of each op in its site's program order.
+    pos: Vec<u32>,
+    /// Row `op` (`n_sites` wide): per site, how many of its ops lie in
+    /// `op`'s inclusive causal past.
+    seen: Vec<u32>,
     cyclic: bool,
 }
 
@@ -32,78 +46,55 @@ impl CausalOrder {
     #[must_use]
     pub fn of(history: &History) -> CausalOrder {
         let n = history.len();
-        let words = n.div_ceil(64).max(1);
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let n_sites = history.n_sites();
+        let site: Vec<u32> = (0..n)
+            .map(|i| history.site_of(OpId::new(i)).index() as u32)
+            .collect();
+        let pos: Vec<u32> = (0..n)
+            .map(|i| history.site_position(OpId::new(i)) as u32)
+            .collect();
+        let reads_from: Vec<(u32, u32)> = history
+            .read_ids()
+            .filter_map(|r| match history.source_of(r) {
+                Some(Some(w)) => Some((w.raw(), r.raw())),
+                _ => None,
+            })
+            .collect();
 
-        // (1) program order: consecutive ops of each site.
-        for site in 0..history.n_sites() {
-            let ops = history.site_ops(crate::SiteId::new(site));
-            for pair in ops.windows(2) {
-                succ[pair[0].index()].push(pair[1].index());
+        // A clock is the elementwise max of its two generating
+        // predecessors' clocks (program order, reads-from), plus itself.
+        let mut seen = vec![0u32; n * n_sites];
+        let visited = topological_walk(history, &reads_from, |v| {
+            let (s, p) = (site[v] as usize, pos[v] as usize);
+            let row = v * n_sites;
+            if p > 0 {
+                let pred = history.site_ops(SiteId::new(s))[p - 1].index() * n_sites;
+                seen.copy_within(pred..pred + n_sites, row);
             }
-        }
-        // (2) reads-from: the write feeding each read.
-        for read in history.reads() {
-            if let Some(Some(w)) = history.source_of(read.id()) {
-                succ[w.index()].push(read.id().index());
-            }
-        }
-
-        // (3) transitive closure by fixpoint over bitset rows. Processing
-        // nodes in decreasing effective-time order converges in one pass
-        // for acyclic histories (all edges then point "forward").
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(history.time_of(crate::OpId::new(i))));
-        let mut reach = vec![0u64; n * words];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &i in &order {
-                for &j in &succ[i] {
-                    // reach[i] |= reach[j] | {j}
-                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                    let (left, right) = reach.split_at_mut(hi * words);
-                    let (row_i, row_j) = if i < j {
-                        (&mut left[i * words..(i + 1) * words], &right[..words])
-                    } else {
-                        // i > j: row_i is in `right`, row_j in `left`
-                        let _ = lo;
-                        (&mut right[..words], &left[j * words..(j + 1) * words])
-                    };
-                    let mut local_change = false;
-                    for (wi, wj) in row_i.iter_mut().zip(row_j) {
-                        let next = *wi | *wj;
-                        if next != *wi {
-                            *wi = next;
-                            local_change = true;
-                        }
-                    }
-                    let word = &mut row_i[j / 64];
-                    let bit = 1u64 << (j % 64);
-                    if *word & bit == 0 {
-                        *word |= bit;
-                        local_change = true;
-                    }
-                    changed |= local_change;
+            if let Some(Some(w)) = history.source_of(OpId::new(v)) {
+                let w = w.index() * n_sites;
+                for t in 0..n_sites {
+                    seen[row + t] = seen[row + t].max(seen[w + t]);
                 }
             }
-        }
+            seen[row + s] = p as u32 + 1;
+        });
 
-        let cyclic = (0..n).any(|i| reach[i * words + i / 64] & (1 << (i % 64)) != 0);
         CausalOrder {
-            n,
-            words,
-            reach,
-            cyclic,
+            n_sites,
+            site,
+            pos,
+            seen,
+            cyclic: visited < n,
         }
     }
 
-    /// Whether `a → b` (strictly).
+    /// Whether `a → b` (strictly). Meaningful only on acyclic histories.
     #[must_use]
     pub fn precedes(&self, a: OpId, b: OpId) -> bool {
         let (a, b) = (a.index(), b.index());
-        debug_assert!(a < self.n && b < self.n);
-        self.reach[a * self.words + b / 64] & (1 << (b % 64)) != 0
+        debug_assert!(a < self.pos.len() && b < self.pos.len());
+        a != b && self.pos[a] < self.seen[b * self.n_sites + self.site[a] as usize]
     }
 
     /// Whether `a` and `b` are distinct and causally unrelated.
@@ -119,13 +110,67 @@ impl CausalOrder {
         self.cyclic
     }
 
-    /// The operations strictly causally after `a`.
-    pub fn successors_of(&self, a: OpId) -> impl Iterator<Item = OpId> + '_ {
-        let row = &self.reach[a.index() * self.words..(a.index() + 1) * self.words];
-        (0..self.n)
-            .filter(move |&b| row[b / 64] & (1 << (b % 64)) != 0)
-            .map(OpId::new)
+    /// How many of `site`'s operations lie in `op`'s inclusive causal
+    /// past: they are exactly its first `seen(op, site)` operations.
+    pub(crate) fn seen(&self, op: OpId, site: usize) -> u32 {
+        self.seen[op.index() * self.n_sites + site]
     }
+}
+
+/// Kahn's algorithm over program order plus `edges` (`(from, to)` op
+/// indices): calls `visit` on every operation all of whose predecessors
+/// were visited before it, and returns how many operations it visited —
+/// fewer than `history.len()` iff the edges close a cycle.
+pub(crate) fn topological_walk(
+    history: &History,
+    edges: &[(u32, u32)],
+    mut visit: impl FnMut(usize),
+) -> usize {
+    let n = history.len();
+    // In-degrees, and the edges as CSR successor lists.
+    let mut indeg = vec![0u32; n];
+    let mut offsets = vec![0u32; n + 1];
+    for &(from, to) in edges {
+        indeg[to as usize] += 1;
+        offsets[from as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut succ = vec![0u32; edges.len()];
+    {
+        let mut cursors = offsets[..n].to_vec();
+        for &(from, to) in edges {
+            succ[cursors[from as usize] as usize] = to;
+            cursors[from as usize] += 1;
+        }
+    }
+
+    // Every op but its site's first has a program-order predecessor.
+    for (i, d) in indeg.iter_mut().enumerate() {
+        *d += u32::from(history.site_position(OpId::new(i)) > 0);
+    }
+    let mut ready: Vec<u32> = Vec::with_capacity(n);
+    ready.extend((0..n as u32).filter(|&i| indeg[i as usize] == 0));
+
+    let mut visited = 0;
+    while let Some(v) = ready.pop() {
+        let v = v as usize;
+        visit(v);
+        visited += 1;
+        let id = OpId::new(v);
+        let next = history
+            .site_ops(history.site_of(id))
+            .get(history.site_position(id) + 1);
+        let targets = &succ[offsets[v] as usize..offsets[v + 1] as usize];
+        for &t in next.map(|o| o.raw()).iter().chain(targets) {
+            indeg[t as usize] -= 1;
+            if indeg[t as usize] == 0 {
+                ready.push(t);
+            }
+        }
+    }
+    visited
 }
 
 #[cfg(test)]
@@ -197,18 +242,6 @@ mod tests {
         let h = b.build().unwrap();
         let co = CausalOrder::of(&h);
         assert!(co.is_cyclic());
-    }
-
-    #[test]
-    fn successors_enumerate_reachable_set() {
-        let mut b = HistoryBuilder::new();
-        let w = b.write(0, 'X', 1, 10);
-        let r = b.read(1, 'X', 1, 20);
-        let w2 = b.write(1, 'Y', 2, 30);
-        let h = b.build().unwrap();
-        let co = CausalOrder::of(&h);
-        let succ: Vec<OpId> = co.successors_of(w).collect();
-        assert_eq!(succ, vec![r, w2]);
     }
 
     #[test]
